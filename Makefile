@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race tier-diff bench bench-cache bench-parallel bench-pipeline bench-auto bench-serve cache-smoke serve-smoke check-docs example-smoke trace-smoke campaign-smoke
+.PHONY: build test vet lint race tier-diff bench bench-cache bench-exec bench-serve cache-smoke serve-smoke check-docs example-smoke trace-smoke campaign-smoke
 
 build:
 	$(GO) build ./...
@@ -26,8 +26,8 @@ race:
 	NOELLE_SKIP_SPEEDUP_TEST=1 $(GO) test -race ./...
 
 # Execution-tier differential: the interpreter, communication-runtime,
-# and evaluation suites (dispatch, queue/signal pipelines, wall-clock
-# studies) must pass with either engine forced process-wide, under
+# and evaluation suites (dispatch, queue/signal pipelines, the execution
+# study) must pass with either engine forced process-wide, under
 # -race — the walker is the reference oracle, and the compiled tier has
 # to be behaviourally indistinguishable from it even when every test in
 # those suites runs on it. The final non-race run enforces the compiled
@@ -68,33 +68,21 @@ serve-smoke:
 bench-serve:
 	$(GO) run ./scripts/benchserve -mode bench -o BENCH_serve.json
 
-# Seq-vs-parallel wall-clock of the interpreter's dispatch runtime on the
-# DOALL-transformed bundled parallel benchmark, recorded as JSON. The
-# speedup column only means something on a multi-core machine.
-bench-parallel:
-	$(GO) run ./scripts/benchparallel -workers 4 -o BENCH_parallel.json
+# The execution study: both bundled benchmarks lowered by every
+# technique and the auto orchestrator, on both engines and every worker
+# count up to the host's CPUs, each cell timing the original program,
+# the lowered -seq run and the parallel run (median of 5 interleaved
+# runs), recorded as JSON. Fails on any divergence from the original.
+bench-exec:
+	$(GO) run ./scripts/benchexec -o BENCH_exec.json
 
-# Seq/DSWP/HELIX wall-clock of the queue communication runtime on the
-# bundled pipeline benchmark (stages over bounded queues, signal-guarded
-# iterations), next to the SimulateDSWP/SimulateHELIX modeled numbers.
-bench-pipeline:
-	$(GO) run ./scripts/benchpipeline -cores 4 -o BENCH_pipeline.json
-
-# The auto-parallelizer composition: each single technique and the auto
-# orchestrator (per-loop technique selection over the machine cost
-# model) raced on both bundled benchmarks, recorded as JSON. The
-# orchestrator should keep up with the best single technique on each
-# benchmark without being told which favours which.
-bench-auto:
-	$(GO) run ./scripts/benchauto -cores 4 -o BENCH_auto.json
-
-# Observability smoke: the pipeline bench with -trace must produce a
+# Observability smoke: the execution bench with -trace must produce a
 # well-formed Chrome trace (monotonic per-lane timestamps, named
 # processes/threads — validated by scripts/tracecheck), next to the
-# usual BENCH_pipeline.json with its attribution block.
+# usual BENCH_exec.json with its attribution blocks.
 trace-smoke:
-	$(GO) run ./scripts/benchpipeline -cores 4 -trace trace_pipeline.json -o BENCH_pipeline.json
-	$(GO) run ./scripts/tracecheck trace_pipeline.json
+	$(GO) run ./scripts/benchexec -trace trace_exec.json -o BENCH_exec.json
+	$(GO) run ./scripts/tracecheck trace_exec.json
 
 # Differential fuzzing smoke under -race: 200 fixed-seed generated
 # programs swept across every technique plus the auto orchestrator

@@ -2,25 +2,14 @@
 // evaluation from this repository (see DESIGN.md's per-experiment index
 // and EXPERIMENTS.md for the recorded results).
 //
-// Usage: noelle-eval [-only table1|table2|table3|table4|fig3|fig4|goviv|fig5|spec|dead|wallclock|auto]
+// Usage: noelle-eval [-only table1|table2|table3|table4|fig3|fig4|goviv|fig5|spec|dead|exec]
 //
-// The wallclock artifact complements the simulated Figure-5 numbers with
-// *measured* speedups, covering all three parallelization techniques:
-// it DOALL-transforms the bundled parallel benchmark and races the
-// interpreter's parallel dispatch against its -seq fallback, then lowers
-// the bundled pipeline benchmark with DSWP (stages over internal/queue
-// queues) and HELIX (signal-guarded iterations) and reports measured
-// pipeline speedups next to the SimulateDSWP/SimulateHELIX numbers.
-// -workers picks the top worker count of the sweep (and the pipeline
-// core count), -wall-size the per-loop iteration count, -queue-cap the
-// communication queue bound, and -seq turns every parallel leg into a
-// sequential control run.
-//
-// The auto artifact is the headline composition: it races the auto
-// orchestrator (per-loop technique selection over the machine cost
-// model) against each individual technique on both bundled benchmarks —
-// the orchestrator should match the best single technique on each
-// without being told which benchmark favours which.
+// The exec artifact complements the simulated Figure-5 numbers with
+// *measured* speedups: it lowers both bundled benchmarks with every
+// technique and the auto orchestrator, on both execution engines and
+// every worker count up to the host's CPUs, and reports each lowered
+// module's parallel wall time against the original program's
+// (eval.ExecStudy). -trace exports its attribution runs.
 package main
 
 import (
@@ -30,29 +19,16 @@ import (
 
 	"noelle/internal/bench"
 	"noelle/internal/eval"
-	"noelle/internal/interp"
-	"noelle/internal/obs"
 	"noelle/internal/toolio"
 )
 
 func main() {
 	only := flag.String("only", "", "emit a single artifact")
 	cores := flag.Int("cores", 12, "core count for the speedup figures")
-	workers := flag.Int("workers", 4, "top worker count for the wallclock artifact's sweep")
-	seq := flag.Bool("seq", false, "wallclock artifact: run the parallel legs sequentially too (debugging control)")
-	wallSize := flag.Int("wall-size", 0, "wallclock artifact: array length / iteration count per loop (0 = default)")
-	queueCap := flag.Int("queue-cap", 0, "wallclock artifact: bound on the pipeline communication queues (0 = default)")
-	engine := flag.String("engine", "", "interpreter execution tier for the measured studies: walker|compiled (default: process default, see NOELLE_ENGINE)")
-	trace := flag.String("trace", "", "wallclock/auto artifacts: export the attribution runs as a Chrome trace-event JSON timeline")
+	trace := flag.String("trace", "", "exec artifact: export the attribution runs as a Chrome trace-event JSON timeline")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the evaluation to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run, GC-settled) to this file")
 	flag.Parse()
-
-	eng, engErr := interp.ParseEngine(*engine)
-	if engErr != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", engErr)
-		os.Exit(2)
-	}
 
 	stopProfiles, perr := toolio.StartProfiles(*cpuprofile, *memprofile)
 	if perr != nil {
@@ -60,7 +36,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProfiles()
-	var traceLegs []obs.TraceLeg
 
 	emit := func(name string, gen func() (string, error)) {
 		if *only != "" && *only != name {
@@ -133,57 +108,22 @@ func main() {
 		}
 		return eval.FormatDeadStudy(rows), nil
 	})
-	// wallclock and auto are explicit-only: they are timing measurements,
-	// so they are not part of the default (deterministic) artifact sweep.
-	if *only == "auto" {
-		rows, err := eval.AutoStudy(*wallSize, *workers, 0, *queueCap, *seq, eng)
+	// exec is explicit-only: it is a timing measurement, so it is not
+	// part of the default (deterministic) artifact sweep.
+	if *only == "exec" {
+		rows, err := eval.ExecStudy(0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "auto: error: %v\n", err)
+			fmt.Fprintf(os.Stderr, "exec: error: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(eval.FormatAutoStudy(rows, *wallSize))
-		for _, r := range rows {
-			if r.Trace != nil {
-				traceLegs = append(traceLegs, obs.TraceLeg{
-					Name: fmt.Sprintf("%s/%s", r.Benchmark, r.Technique), Tracer: r.Trace})
+		fmt.Println(eval.FormatExec(rows))
+		if *trace != "" {
+			legs := eval.ExecTraceLegs(rows)
+			if err := toolio.WriteTraceFile(*trace, legs...); err != nil {
+				fmt.Fprintf(os.Stderr, "error: writing trace: %v\n", err)
+				os.Exit(1)
 			}
+			fmt.Fprintf(os.Stderr, "trace: wrote %s (%d legs)\n", *trace, len(legs))
 		}
-	}
-	if *only == "wallclock" {
-		counts := eval.WorkerSweep(*workers)
-		if counts == nil {
-			fmt.Fprintf(os.Stderr, "wallclock: -workers must be >= 1 (got %d)\n", *workers)
-			os.Exit(2)
-		}
-		rows, err := eval.WallClockStudy(*wallSize, counts, 0, *seq, eng)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wallclock: error: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(eval.FormatWallClock(rows, *wallSize))
-		for _, r := range rows {
-			if r.Trace != nil {
-				traceLegs = append(traceLegs, obs.TraceLeg{
-					Name: fmt.Sprintf("doall/workers=%d", r.Workers), Tracer: r.Trace})
-			}
-		}
-		prows, err := eval.PipelineWallClockStudy(*wallSize, *workers, 0, *queueCap, *seq, eng)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wallclock: pipeline error: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(eval.FormatPipelineWallClock(prows, *wallSize))
-		for _, r := range prows {
-			if r.Trace != nil {
-				traceLegs = append(traceLegs, obs.TraceLeg{Name: r.Technique, Tracer: r.Trace})
-			}
-		}
-	}
-	if *trace != "" {
-		if err := toolio.WriteTraceFile(*trace, traceLegs...); err != nil {
-			fmt.Fprintf(os.Stderr, "error: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d legs)\n", *trace, len(traceLegs))
 	}
 }

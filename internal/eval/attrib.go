@@ -95,7 +95,7 @@ type LaneBreakdown struct {
 
 // StageBreakdown aggregates task spans by worker index: for a DSWP
 // pipeline the worker index is the stage, so this is the per-stage
-// utilization the pipeline study reports. BlockedMS counts only kept
+// utilization the execution study reports. BlockedMS counts only kept
 // timeline spans (ops at least SpanThreshold long) nested inside the
 // stage's task spans, so it reflects genuine stalls, not op cost.
 type StageBreakdown struct {
@@ -313,11 +313,10 @@ func stageBreakdowns(recs []*obs.Recorder) []StageBreakdown {
 // module and attributes its wall-clock against seqWall. It is a separate
 // run on purpose: the timing legs stay untraced, so the tracer's tax
 // never touches the reported speedups.
-func attributionRun(m *ir.Module, dispatchCap, queueCap int, seqWall time.Duration, engine interp.Engine) (*Attribution, *obs.Tracer, error) {
+func attributionRun(m *ir.Module, dispatchCap int, seqWall time.Duration, engine interp.Engine) (*Attribution, *obs.Tracer, error) {
 	tr := obs.NewTracer()
 	it := interp.New(m)
 	it.DispatchWorkers = dispatchCap
-	it.QueueCap = queueCap
 	it.Eng = engine
 	it.Tracer = tr
 	start := time.Now()
@@ -331,7 +330,7 @@ func attributionRun(m *ir.Module, dispatchCap, queueCap int, seqWall time.Durati
 }
 
 // FormatAttribution renders the decomposition as indented detail lines
-// for the study footers.
+// for the execution study.
 func FormatAttribution(a *Attribution) string {
 	if a == nil {
 		return ""

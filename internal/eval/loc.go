@@ -6,10 +6,9 @@
 // governing-IV counts (Section 4.3), the parallelization speedups
 // (Figure 5 and Section 4.4), and the DeadFunctionElimination binary-size
 // study (Section 4.5). Alongside the simulated artifacts it hosts the
-// measured wall-clock studies the bench scripts record as JSON: the
-// DOALL worker sweep (WallClockStudy), the DSWP/HELIX pipeline race
-// (PipelineWallClockStudy), and the auto-parallelizer-vs-single-technique
-// comparison (AutoStudy).
+// measured execution study scripts/benchexec records as JSON
+// (ExecStudy): every technique and the auto orchestrator on the bundled
+// benchmarks, timed against the original program on both engines.
 package eval
 
 import (

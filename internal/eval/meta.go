@@ -13,13 +13,16 @@ import (
 // scripts/benchcompare can refuse to diff artifacts that do not speak
 // the same schema.
 // Version 3 added per-row and meta "engine" fields (execution tiers).
-const BenchSchemaVersion = 3
+// Version 4 replaced the seq-vs-par "speedup" with end_to_end_speedup
+// over the original program and made the timing columns
+// median/min/max objects (the execution study, BENCH_exec.json).
+const BenchSchemaVersion = 4
 
 // BenchMeta is the shared metadata block every BENCH_*.json artifact
 // embeds: enough provenance to judge whether two artifacts are
 // comparable (same code? same core count?) and how much measured delta
-// is noise. One helper builds it so the three bench scripts cannot
-// drift apart.
+// is noise. One helper builds it so the bench scripts cannot drift
+// apart.
 type BenchMeta struct {
 	Schema    int    `json:"schema"`
 	GitCommit string `json:"git_commit,omitempty"`

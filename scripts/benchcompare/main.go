@@ -1,24 +1,23 @@
-// benchcompare diffs two BENCH_*.json artifacts (old vs new) produced by
-// the bench scripts: it refuses to compare artifacts whose schema
-// versions differ, pairs up rows by their identifying fields (technique,
-// workers, benchmark), and flags any speedup that dropped below the old
-// value times the artifact's noise margin as a regression. Exit status 1
-// means at least one regression — wire it between two bench runs to turn
-// the artifacts into a perf gate:
+// benchcompare diffs two BENCH_exec.json artifacts (old vs new) produced
+// by scripts/benchexec: it refuses artifacts that do not speak the
+// current schema, pairs up rows by their cell name
+// (benchmark/technique/engine/workers), and flags any end_to_end_speedup
+// that dropped below the old value times the artifact's noise margin as
+// a regression. Exit status 1 means at least one regression — wire it
+// between two bench runs to turn the artifacts into a perf gate:
 //
-//	go run ./scripts/benchcompare BENCH_pipeline.json /tmp/new.json
+//	go run ./scripts/benchcompare BENCH_exec.json /tmp/new.json
 //
 // -tiers flips benchcompare into its second role: instead of diffing two
-// commits, it reads ONE artifact whose rows carry per-engine
-// measurements (schema v3: bench scripts sweep walker and compiled) and
-// pairs the walker/compiled rows of otherwise-identical identity. The
-// walker is the reference baseline, so the report is the compiled
-// tier's wall-clock speedup over it (walker par_ms / compiled par_ms);
-// a pair where the compiled tier is *slower* than the walker beyond the
-// artifact's noise margin is a regression (exit 1) — the fast path must
-// never lose to the oracle it is checked against.
+// commits, it reads ONE artifact and pairs the walker/compiled rows of
+// otherwise-identical cells. The walker is the reference baseline, so
+// the report is the compiled tier's wall-clock speedup over it (walker
+// median par_ms / compiled median par_ms); a pair where the compiled
+// tier is *slower* than the walker beyond the artifact's noise margin is
+// a regression (exit 1) — the fast path must never lose to the oracle it
+// is checked against.
 //
-//	go run ./scripts/benchcompare -tiers BENCH_parallel.json
+//	go run ./scripts/benchcompare -tiers BENCH_exec.json
 //
 // Usage: go run ./scripts/benchcompare [-margin 0] old.json new.json
 //
@@ -33,7 +32,27 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"noelle/internal/eval"
 )
+
+// artifact is the part of a BENCH_exec.json document benchcompare reads.
+type artifact struct {
+	Meta struct {
+		Schema      int     `json:"schema"`
+		GitCommit   string  `json:"git_commit"`
+		NoiseMargin float64 `json:"noise_margin"`
+	} `json:"meta"`
+	Rows []struct {
+		Name      string      `json:"name"`
+		Benchmark string      `json:"benchmark"`
+		Technique string      `json:"technique"`
+		Engine    string      `json:"engine"`
+		Workers   int         `json:"workers"`
+		ParMS     eval.Timing `json:"par_ms"`
+		EndToEnd  float64     `json:"end_to_end_speedup"`
+	} `json:"rows"`
+}
 
 func main() {
 	margin := flag.Float64("margin", 0, "noise margin override (0 = use the new artifact's meta.noise_margin)")
@@ -61,54 +80,39 @@ func main() {
 }
 
 func run(oldPath, newPath string, margin float64) error {
-	oldDoc, err := load(oldPath)
+	oldArt, err := load(oldPath)
 	if err != nil {
 		return err
 	}
-	newDoc, err := load(newPath)
+	newArt, err := load(newPath)
 	if err != nil {
 		return err
 	}
-
-	oldMeta, newMeta := metaOf(oldDoc), metaOf(newDoc)
-	if os, ns := schemaOf(oldMeta), schemaOf(newMeta); os != ns {
-		return fmt.Errorf("schema mismatch: %s is v%d, %s is v%d — regenerate the older artifact first",
-			oldPath, os, newPath, ns)
-	}
-	if margin <= 0 {
-		margin = 0.95
-		if m, ok := newMeta["noise_margin"].(float64); ok && m > 0 {
-			margin = m
-		}
-	}
-	if oc, nc := commitOf(oldMeta), commitOf(newMeta); oc != "" && nc != "" && oc != nc {
+	margin = marginOf(newArt, margin)
+	if oc, nc := oldArt.Meta.GitCommit, newArt.Meta.GitCommit; oc != "" && nc != "" && oc != nc {
 		fmt.Printf("comparing commits %s -> %s (margin %.2f)\n", oc, nc, margin)
 	} else {
 		fmt.Printf("comparing %s -> %s (margin %.2f)\n", oldPath, newPath, margin)
 	}
 
 	oldRows, newRows := map[string]float64{}, map[string]float64{}
-	collect(oldDoc, "", oldRows)
-	collect(newDoc, "", newRows)
+	for _, r := range oldArt.Rows {
+		oldRows[r.Name] = r.EndToEnd
+	}
+	for _, r := range newArt.Rows {
+		newRows[r.Name] = r.EndToEnd
+	}
 	if len(newRows) == 0 {
-		return fmt.Errorf("%s: no speedup fields found", newPath)
+		return fmt.Errorf("%s: no rows found", newPath)
 	}
-
-	keys := make([]string, 0, len(newRows))
-	for k := range newRows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 
 	regressions := 0
-	for _, k := range keys {
+	for _, k := range sortedKeys(newRows) {
 		nv := newRows[k]
 		ov, ok := oldRows[k]
-		if !ok {
-			fmt.Printf("  NEW        %-40s %.3fx\n", k, nv)
-			continue
-		}
 		switch {
+		case !ok:
+			fmt.Printf("  NEW        %-40s %.3fx\n", k, nv)
 		case nv < ov*margin:
 			regressions++
 			fmt.Printf("  REGRESSION %-40s %.3fx -> %.3fx (below %.3fx floor)\n", k, ov, nv, ov*margin)
@@ -118,80 +122,76 @@ func run(oldPath, newPath string, margin float64) error {
 			fmt.Printf("  ok         %-40s %.3fx -> %.3fx\n", k, ov, nv)
 		}
 	}
-	for k, ov := range oldRows {
+	for _, k := range sortedKeys(oldRows) {
 		if _, ok := newRows[k]; !ok {
-			fmt.Printf("  DROPPED    %-40s was %.3fx\n", k, ov)
+			fmt.Printf("  DROPPED    %-40s was %.3fx\n", k, oldRows[k])
 		}
 	}
 	if regressions > 0 {
-		return fmt.Errorf("%d speedup regression(s) beyond the noise margin", regressions)
+		return fmt.Errorf("%d end-to-end speedup regression(s) beyond the noise margin", regressions)
 	}
 	fmt.Println("no regressions")
 	return nil
 }
 
-func load(path string) (map[string]any, error) {
+// load reads an artifact and refuses any schema but the current one.
+func load(path string) (*artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
+	var a artifact
+	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return doc, nil
+	if a.Meta.Schema != eval.BenchSchemaVersion {
+		return nil, fmt.Errorf("%s is schema v%d, want v%d — regenerate it with scripts/benchexec",
+			path, a.Meta.Schema, eval.BenchSchemaVersion)
+	}
+	return &a, nil
 }
 
-func metaOf(doc map[string]any) map[string]any {
-	if m, ok := doc["meta"].(map[string]any); ok {
-		return m
+func marginOf(a *artifact, override float64) float64 {
+	switch {
+	case override > 0:
+		return override
+	case a.Meta.NoiseMargin > 0:
+		return a.Meta.NoiseMargin
 	}
-	return map[string]any{}
+	return 0.95
 }
 
-func schemaOf(meta map[string]any) int {
-	if v, ok := meta["schema"].(float64); ok {
-		return int(v)
-	}
-	return 0 // pre-meta artifacts (schema 1 had no meta block)
-}
-
-func commitOf(meta map[string]any) string {
-	s, _ := meta["git_commit"].(string)
-	return s
-}
-
-// runTiers implements -tiers: pair up the walker/compiled rows of one
-// schema-v3 artifact by their engine-less identity and report the
-// compiled tier's wall-clock speedup over the walker reference.
-func runTiers(path string, margin float64) error {
-	doc, err := load(path)
-	if err != nil {
-		return err
-	}
-	meta := metaOf(doc)
-	if s := schemaOf(meta); s < 3 {
-		return fmt.Errorf("%s: schema v%d has no per-engine rows — regenerate with the current bench scripts (-engine both)", path, s)
-	}
-	if margin <= 0 {
-		margin = 0.95
-		if m, ok := meta["noise_margin"].(float64); ok && m > 0 {
-			margin = m
-		}
-	}
-	fmt.Printf("tier diff of %s (margin %.2f)\n", path, margin)
-
-	rows := map[string]map[string]float64{}
-	collectTiers(doc, "", rows)
-
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// runTiers implements -tiers: pair up the walker/compiled rows of one
+// artifact by their engine-less identity and report the compiled tier's
+// wall-clock speedup over the walker reference.
+func runTiers(path string, margin float64) error {
+	a, err := load(path)
+	if err != nil {
+		return err
+	}
+	margin = marginOf(a, margin)
+	fmt.Printf("tier diff of %s (margin %.2f)\n", path, margin)
+
+	rows := map[string]map[string]float64{}
+	for _, r := range a.Rows {
+		k := fmt.Sprintf("%s/%s/workers=%d", r.Benchmark, r.Technique, r.Workers)
+		if rows[k] == nil {
+			rows[k] = map[string]float64{}
+		}
+		rows[k][r.Engine] = r.ParMS.Median
+	}
 
 	pairs, regressions := 0, 0
-	for _, k := range keys {
+	for _, k := range sortedKeys(rows) {
 		wk, haveWk := rows[k]["walker"]
 		cp, haveCp := rows[k]["compiled"]
 		if !haveWk || !haveCp {
@@ -221,84 +221,4 @@ func runTiers(path string, margin float64) error {
 	}
 	fmt.Printf("%d tier pair(s), compiled never slower than the walker\n", pairs)
 	return nil
-}
-
-// collectTiers walks the document and records every row's par_ms under
-// its engine-less identity (benchmark/technique/workers), keyed by the
-// row's engine — the pairing input of runTiers.
-func collectTiers(v any, path string, out map[string]map[string]float64) {
-	switch t := v.(type) {
-	case map[string]any:
-		p := path
-		for _, idk := range [...]string{"benchmark", "technique"} {
-			if s, ok := t[idk].(string); ok && s != "" {
-				p = join(p, s)
-			}
-		}
-		if w, ok := t["workers"].(float64); ok {
-			p = join(p, fmt.Sprintf("workers=%d", int(w)))
-		}
-		eng, _ := t["engine"].(string)
-		if ms, ok := t["par_ms"].(float64); ok && eng != "" {
-			if out[p] == nil {
-				out[p] = map[string]float64{}
-			}
-			out[p][eng] = ms
-		}
-		for k, c := range t {
-			if k == "attribution" {
-				continue
-			}
-			collectTiers(c, p, out)
-		}
-	case []any:
-		for _, c := range t {
-			collectTiers(c, path, out)
-		}
-	}
-}
-
-// collect walks the document and records every "speedup"-like field
-// under a path built from the identifying fields of the objects that
-// enclose it (benchmark name, technique, worker count, engine), so rows
-// pair up across artifacts regardless of array order.
-func collect(v any, path string, out map[string]float64) {
-	switch t := v.(type) {
-	case map[string]any:
-		p := path
-		for _, idk := range [...]string{"benchmark", "technique", "engine"} {
-			if s, ok := t[idk].(string); ok && s != "" {
-				p = join(p, s)
-			}
-		}
-		if w, ok := t["workers"].(float64); ok {
-			p = join(p, fmt.Sprintf("workers=%d", int(w)))
-		}
-		for _, sk := range [...]string{"speedup", "auto_speedup", "best_single_speedup"} {
-			if f, ok := t[sk].(float64); ok {
-				key := p
-				if sk != "speedup" {
-					key = join(p, sk)
-				}
-				out[key] = f
-			}
-		}
-		for k, c := range t {
-			if k == "attribution" {
-				continue // traced-run internals, not a perf bar
-			}
-			collect(c, p, out)
-		}
-	case []any:
-		for _, c := range t {
-			collect(c, path, out)
-		}
-	}
-}
-
-func join(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + "/" + b
 }
