@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race tier-diff bench bench-cache bench-exec bench-serve cache-smoke serve-smoke check-docs example-smoke trace-smoke campaign-smoke
+.PHONY: build test vet lint race tier-diff bench bench-cache bench-exec bench-serve cache-smoke serve-smoke check-docs example-smoke trace-smoke campaign-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -108,3 +108,8 @@ check-docs:
 # against its committed expected output.
 example-smoke:
 	bash scripts/example_smoke.sh
+
+# The repository benchmark's own tests (perfbench/ is a separate Go
+# module, so ./... from the root does not reach it).
+perfbench-test:
+	cd perfbench && $(GO) test .

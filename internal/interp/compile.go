@@ -129,14 +129,19 @@ type cedge struct {
 	badPhiMsg string
 }
 
-// ccall is a call op's pre-resolved payload. Direct calls are bound to
-// their callee at compile time (externs re-resolve through the image's
-// indexed registry inside Call, so replacement still works); indirect
-// calls carry the callee operand.
+// ccall is a call op's pre-resolved payload. A direct call to a
+// declaration binds the declaration's fnTable index and its extern cost
+// at compile time; the registry entry itself is read through the image's
+// declSlot cache on every call, so a re-registration still takes effect.
+// Other direct calls bind their callee; indirect calls carry the callee
+// operand. Arguments are evaluated into the caller frame's argument
+// window (cfunc.argBase), which the callee reads in place.
 type ccall struct {
-	direct *ir.Function // nil: indirect via callee's bits
-	callee oref
-	args   []oref
+	direct     *ir.Function // nil: indirect via callee's bits
+	callee     oref
+	args       []oref
+	decl       int64 // direct call to a declaration: its fnTable index; -1 otherwise
+	externCost int64 // decl >= 0: the cost model's ExternCost for the callee
 }
 
 // cop is one compiled op.
@@ -169,8 +174,10 @@ type cfunc struct {
 	// context running a different model recompiles (see image.compiled).
 	cost     CostModel
 	blocks   [][]cop
-	frameLen int32 // slots + phi-move scratch area
+	frameLen int32 // slots + phi-move scratch area + argument window
 	scratch  int32 // base of the scratch area
+	argBase  int32 // base of the argument window every call op shares
+	nargs    int32 // argument window length: the widest call's arg count
 	nallocas int   // static alloca count (0 skips the free-on-exit defer)
 }
 
@@ -342,7 +349,7 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 				}
 			}
 
-			op, err := compileOne(cf, in, b, cost, slots, resolve, edgeTo)
+			op, err := compileOne(img, cf, in, b, cost, slots, resolve, edgeTo)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +366,8 @@ func compileFunc(img *image, f *ir.Function, cost CostModel) (*cfunc, error) {
 		cf.blocks = append(cf.blocks, ops)
 	}
 	cf.scratch = next
-	cf.frameLen = next + scratchLen
+	cf.argBase = next + scratchLen
+	cf.frameLen = cf.argBase + cf.nargs
 	return cf, nil
 }
 
@@ -388,7 +396,7 @@ func fusableLoadOpStore(ld, bin, st *ir.Instr, uses map[*ir.Instr]int) (other ir
 }
 
 // compileOne lowers a single non-fused instruction.
-func compileOne(cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[ir.Value]int32,
+func compileOne(img *image, cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[ir.Value]int32,
 	resolve func(ir.Value) (oref, error), edgeTo func(from, to *ir.Block) (cedge, error)) (cop, error) {
 	op := cop{dst: -1, steps: 1, cost: cost.Cost(in)}
 	if in.HasResult() {
@@ -424,11 +432,14 @@ func compileOne(cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[
 		}
 	case ir.OpCall:
 		op.code = cCall
-		call := &ccall{direct: in.CalledFunction()}
+		call := &ccall{direct: in.CalledFunction(), decl: -1}
 		if call.direct == nil {
 			if call.callee, err = operand(0); err != nil {
 				return op, err
 			}
+		} else if fi, ok := img.fnIndex[call.direct]; ok && call.direct.IsDeclaration() {
+			call.decl = fi
+			call.externCost = cost.ExternCost(call.direct.Nam)
 		}
 		for _, a := range in.Ops[1:] {
 			ref, rerr := resolve(a)
@@ -437,6 +448,7 @@ func compileOne(cf *cfunc, in *ir.Instr, b *ir.Block, cost CostModel, slots map[
 			}
 			call.args = append(call.args, ref)
 		}
+		cf.nargs = max(cf.nargs, int32(len(call.args)))
 		op.call = call
 	case ir.OpBr:
 		op.code = cBr

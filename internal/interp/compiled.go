@@ -222,11 +222,22 @@ blockLoop:
 					}
 					callee = it.img.fnTable[idx]
 				}
-				cargs := make([]uint64, len(ci.args))
+				// Arguments go to the frame's argument window, which
+				// every call op of the function shares: the callee only
+				// reads them during the call (a compiled callee copies
+				// them into its own frame), so no call allocates.
+				n := cf.argBase + int32(len(ci.args))
+				args := fr[cf.argBase:n:n]
 				for i := range ci.args {
-					cargs[i] = ci.args[i].get(fr)
+					args[i] = ci.args[i].get(fr)
 				}
-				r, err := it.Call(callee, cargs)
+				var r uint64
+				var err error
+				if ci.decl >= 0 {
+					r, err = it.callExtern(callee, it.img.externAt(ci.decl), ci.externCost, args)
+				} else {
+					r, err = it.Call(callee, args)
+				}
 				if err != nil {
 					return 0, err
 				}

@@ -118,7 +118,7 @@ func registerDefaultExterns(it *Interp) {
 		// Tracing fast path: rec is nil unless a Tracer is attached, so
 		// the untraced cost is one pointer comparison — no clock reads,
 		// no allocations, no atomics (proved by BenchmarkQueueExterns and
-		// the allocation-count test in trace_test.go). Spans time the
+		// TestTracingOffExternsAllocFree). Spans time the
 		// whole operation: for a parked producer that is exactly the
 		// backpressure stall the timeline should show.
 		if r := it.rec; r != nil {

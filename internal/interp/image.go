@@ -94,9 +94,14 @@ type image struct {
 	// The extern registry is indexed: entries live in an append-only
 	// table behind an atomic pointer (registration copies, readers never
 	// lock), and every declaration in fnTable caches its resolved table
-	// slot in declSlot — so the per-call hot path is one atomic load and
-	// an index, with zero allocations (pinned by
-	// TestExternDispatchAllocFree). externMu serializes writers only.
+	// slot in declSlot. Calls reach an entry by the declaration's fnTable
+	// index: the compiled tier binds that index into each direct call op
+	// at compile time, Call finds it through fnIndex. Either way the
+	// per-call path is two atomic loads and an index, with zero
+	// allocations (pinned by TestExternDispatchAllocFree and, for the
+	// compiled call site, TestCompiledExternCallsAllocFree). Because the
+	// entry is read through declSlot on every call, a re-registration
+	// reaches compiled code too. externMu serializes writers only.
 	externMu  sync.Mutex
 	externTab atomic.Pointer[[]externEntry]
 	externIdx atomic.Pointer[map[string]int32]
@@ -241,22 +246,27 @@ func (img *image) lookupExtern(name string) (fn Extern, arity int, ok bool) {
 }
 
 // externFor returns the registered entry backing declaration f, or nil.
-// The hot path is one atomic load of f's cached table slot; resolution
-// through the name index happens once per declaration (and again after a
-// re-registration resets the cache).
+// A declaration outside this image's module (synthetic) resolves through
+// the name index with no cache; the rest go through externAt.
 func (img *image) externFor(f *ir.Function) *externEntry {
 	fi, known := img.fnIndex[f]
 	if !known {
-		// Not part of this image's module (synthetic declaration);
-		// fall back to the name index with no cache.
 		if i, has := (*img.externIdx.Load())[f.Nam]; has {
 			return &(*img.externTab.Load())[i]
 		}
 		return nil
 	}
+	return img.externAt(fi)
+}
+
+// externAt returns the registered entry backing the declaration at
+// fnTable index fi, or nil. The hot path is one atomic load of its cached
+// table slot; resolution through the name index happens once per
+// declaration (and again after a re-registration resets the cache).
+func (img *image) externAt(fi int64) *externEntry {
 	slot := img.declSlot[fi].Load()
 	if slot == externUnresolved {
-		if i, has := (*img.externIdx.Load())[f.Nam]; has {
+		if i, has := (*img.externIdx.Load())[img.fnTable[fi].Nam]; has {
 			slot = i
 		} else {
 			slot = externMissing

@@ -286,18 +286,11 @@ func (it *Interp) WorkerStats() []WorkerStat {
 // bits. Declarations dispatch through the image's indexed extern
 // registry (resolved to a registry slot once per declaration, not per
 // call); defined functions run on the selected execution tier, with the
-// walker as fallback for the rare function the compiler rejects.
+// walker as fallback for the rare function the compiler rejects. args
+// is only read during the call: callers may reuse it afterwards.
 func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 	if f.IsDeclaration() {
-		ext := it.img.externFor(f)
-		if ext == nil {
-			return 0, fmt.Errorf("interp: call to undefined extern @%s", f.Nam)
-		}
-		if ext.arity >= 0 && len(args) != ext.arity {
-			return 0, fmt.Errorf("interp: extern @%s: %d args, want %d", f.Nam, len(args), ext.arity)
-		}
-		it.Cycles += it.Cost.ExternCost(f.Nam)
-		return ext.fn(it, args)
+		return it.callExtern(f, it.img.externFor(f), it.Cost.ExternCost(f.Nam), args)
 	}
 	if len(args) != len(f.Params) {
 		return 0, fmt.Errorf("interp: @%s: %d args, want %d", f.Nam, len(args), len(f.Params))
@@ -310,6 +303,20 @@ func (it *Interp) Call(f *ir.Function, args []uint64) (uint64, error) {
 	}
 	it.engineUsed = EngineWalker
 	return it.callWalker(f, args)
+}
+
+// callExtern runs declaration f's registered entry ext (nil when none is
+// registered), charging cost cycles. Call resolves ext and cost per
+// call; the compiled tier's direct call ops bind both at compile time.
+func (it *Interp) callExtern(f *ir.Function, ext *externEntry, cost int64, args []uint64) (uint64, error) {
+	if ext == nil {
+		return 0, fmt.Errorf("interp: call to undefined extern @%s", f.Nam)
+	}
+	if ext.arity >= 0 && len(args) != ext.arity {
+		return 0, fmt.Errorf("interp: extern @%s: %d args, want %d", f.Nam, len(args), ext.arity)
+	}
+	it.Cycles += cost
+	return ext.fn(it, args)
 }
 
 // callWalker is the instruction-walking reference engine: the original

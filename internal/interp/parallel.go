@@ -194,6 +194,22 @@ func (it *Interp) dispatch(args []uint64) (uint64, error) {
 	return 0, err
 }
 
+// runWorker runs one worker invocation on wk. It is the dispatch lane's
+// backstop: a panic on the lane's goroutine (an out-of-range access by
+// the interpreted program, or a runtime bug) would kill the process,
+// since no caller up the stack can recover it, so it becomes that
+// worker's error instead. The lane goes on claiming workers, and the
+// error aborts the communication runtime like any other worker failure.
+func runWorker(wk *Interp, task *ir.Function, args []uint64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	_, err = wk.Call(task, args)
+	return err
+}
+
 // dispatchParallel runs the task's worker invocations across a bounded
 // pool of goroutines — at most DispatchWorkers (default GOMAXPROCS) run
 // at once, and worker contexts are forked lazily as each invocation is
@@ -261,7 +277,7 @@ func (it *Interp) dispatchParallel(task *ir.Function, envBits uint64, nworkers, 
 				if rec != nil {
 					tStart = rec.Clock()
 				}
-				_, errs[w] = wk.Call(task, []uint64{envBits, uint64(w), uint64(nworkers)})
+				errs[w] = runWorker(wk, task, []uint64{envBits, uint64(w), uint64(nworkers)})
 				if rec != nil {
 					rec.Record(obs.SpanTask, w, tStart)
 				}

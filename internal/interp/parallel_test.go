@@ -350,3 +350,64 @@ func TestDOALLParallelSpeedup(t *testing.T) {
 		t.Errorf("4-worker wall-clock speedup %.2fx, want >= 2x", speedup)
 	}
 }
+
+// faultingTaskSrc dispatches two workers: worker 0 stores below @g's
+// cell (address 8 - 24 = cell -2, an out-of-range page index) before it
+// would fire the signal worker 1 parks on.
+const faultingTaskSrc = `module "m"
+global @g : [4 x i64] zeroinit
+declare @noelle_dispatch : fn(fn(ptr<i64>, i64, i64) void, ptr<i64>, i64) void
+declare @noelle_signal_create : fn(i64) i64
+declare @noelle_signal_wait : fn(i64, i64) void
+declare @noelle_signal_fire : fn(i64, i64) void
+func @task(%env: ptr<i64>, %w: i64, %nw: i64) void {
+entry:
+  %s = load i64, %env
+  %first = eq %w, 0
+  condbr %first, fault, waiter
+fault:
+  %p = ptradd @g, -3
+  store i64 7, %p
+  call void @noelle_signal_fire(%s, 1)
+  ret void
+waiter:
+  call void @noelle_signal_wait(%s, 1)
+  ret void
+}
+func @main() i64 {
+entry:
+  %env = alloca i64, 1
+  %s = call i64 @noelle_signal_create(0)
+  store i64 %s, %env
+  call void @noelle_dispatch(@task, %env, 2)
+  ret 0
+}`
+
+// TestDispatchWorkerPanicBecomesError: a panic on a parallel dispatch
+// worker must surface as that worker's error, not kill the process, and
+// must abort the communication runtime so the sibling parked on the
+// signal the faulting worker never fires is released. Both engines fail
+// with the same error.
+func TestDispatchWorkerPanicBecomesError(t *testing.T) {
+	m := parse(t, faultingTaskSrc)
+	for _, eng := range []interp.Engine{interp.EngineWalker, interp.EngineCompiled} {
+		it := interp.New(m)
+		it.Eng = eng
+		it.DispatchWorkers = 2
+		done := make(chan error, 1)
+		go func() { _, err := it.Run(); done <- err }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: parked sibling not released after a worker panic", eng)
+		}
+		if err == nil {
+			t.Fatalf("%s: faulting dispatch succeeded", eng)
+		}
+		const want = "interp: dispatch worker 0: panic: runtime error: index out of range [-2]"
+		if err.Error() != want {
+			t.Errorf("%s: error %q, want %q", eng, err, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package irtext
 
 import (
+	"strings"
 	"testing"
 
 	"noelle/internal/ir"
@@ -140,6 +141,32 @@ entry:
 		if _, err := Parse(c.src); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestParseRejectsBadArrayLengths: negative, unrepresentable and
+// overflowing array lengths fail with a line-numbered error instead of
+// yielding a type whose size arithmetic wraps.
+func TestParseRejectsBadArrayLengths(t *testing.T) {
+	for _, ty := range []string{
+		"[-5 x i64]",
+		"[99999999999999999999 x i64]",
+		"[1099511627777 x i64]",
+		"[4 x [-1 x i64]]",
+		"[1048576 x [1048576 x i64]]",
+	} {
+		src := "module \"m\"\n\nglobal @g : " + ty + " zeroinit\n"
+		_, err := Parse(src)
+		if err == nil {
+			t.Errorf("%s: parsed, want an error", ty)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "line 3: ") {
+			t.Errorf("%s: error %q, want it on line 3", ty, err)
+		}
+	}
+	if _, err := Parse("module \"m\"\nglobal @g : [0 x i64] zeroinit\n"); err != nil {
+		t.Errorf("zero-length array rejected: %v", err)
 	}
 }
 

@@ -208,6 +208,11 @@ func (p *parser) parseFuncSignature() (string, *ir.Type, []string, error) {
 	return nameTok.text, ir.FuncOf(ret, paramTypes...), paramNames, nil
 }
 
+// maxArrayBytes bounds an array type's total size, so the size and
+// address arithmetic over it (ir.Type.Size, the interpreter's layout and
+// ptradd offsets) cannot overflow.
+const maxArrayBytes = 1 << 40
+
 func (p *parser) parseType() (*ir.Type, error) {
 	t := p.next()
 	switch {
@@ -237,8 +242,8 @@ func (p *parser) parseType() (*ir.Type, error) {
 			return nil, fmt.Errorf("line %d: expected array length", n.line)
 		}
 		length, err := strconv.Atoi(n.text)
-		if err != nil {
-			return nil, err
+		if err != nil || length < 0 {
+			return nil, fmt.Errorf("line %d: invalid array length %s", n.line, n.text)
 		}
 		if err := p.expectIdent("x"); err != nil {
 			return nil, err
@@ -249,6 +254,9 @@ func (p *parser) parseType() (*ir.Type, error) {
 		}
 		if err := p.expectPunct("]"); err != nil {
 			return nil, err
+		}
+		if es := elem.Size(); es > 0 && length > maxArrayBytes/es {
+			return nil, fmt.Errorf("line %d: array [%d x %s] exceeds %d bytes", n.line, length, elem, maxArrayBytes)
 		}
 		return ir.ArrayOf(elem, length), nil
 	case t.kind == tokIdent && t.text == "fn":

@@ -296,3 +296,18 @@ func TestParseErrorsHaveLineNumbers(t *testing.T) {
 		t.Errorf("error = %v, want line 2 mention", err)
 	}
 }
+
+// TestArraySizeOutOfRange: an array size too large for the address
+// space fails with a line-numbered error (global and local), instead of
+// wrapping to a type whose byte size overflows.
+func TestArraySizeOutOfRange(t *testing.T) {
+	for _, src := range []string{
+		"int main() { return 0; }\nint a[99999999999999999999];",
+		"int main() {\n  int b[137438953473];\n  return 0;\n}",
+	} {
+		_, err := Compile("bad", src)
+		if err == nil || !strings.Contains(err.Error(), "line 2: array size") {
+			t.Errorf("%q: error = %v, want a line 2 array size error", src, err)
+		}
+	}
+}

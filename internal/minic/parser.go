@@ -174,15 +174,28 @@ func (p *cparser) parseFuncHeader() (*FuncDecl, error) {
 	return fd, nil
 }
 
+// maxArrayLen bounds an array's element count: at 8 bytes a cell, the
+// largest array the textual IR accepts (2^40 bytes).
+const maxArrayLen = 1 << 37
+
+// arraySize parses `N]` after an array declarator's `[`.
+func (p *cparser) arraySize() (int, error) {
+	szTok := p.next()
+	if szTok.Kind != TokInt {
+		return 0, fmt.Errorf("line %d: expected array size", szTok.Line)
+	}
+	n, err := strconv.Atoi(szTok.Text)
+	if err != nil || n > maxArrayLen {
+		return 0, fmt.Errorf("line %d: array size %s out of range", szTok.Line, szTok.Text)
+	}
+	return n, p.expect("]")
+}
+
 func (p *cparser) parseGlobalRest(ty *CType, nameTok Tok) (*GlobalDecl, error) {
 	g := &GlobalDecl{Name: nameTok.Text, Type: ty, Line: nameTok.Line}
 	if p.accept("[") {
-		szTok := p.next()
-		if szTok.Kind != TokInt {
-			return nil, fmt.Errorf("line %d: expected array size", szTok.Line)
-		}
-		n, _ := strconv.Atoi(szTok.Text)
-		if err := p.expect("]"); err != nil {
+		n, err := p.arraySize()
+		if err != nil {
 			return nil, err
 		}
 		g.Type = cArray(ty, n)
@@ -333,12 +346,8 @@ func (p *cparser) parseDecl() (Stmt, error) {
 		return nil, fmt.Errorf("line %d: expected variable name", nameTok.Line)
 	}
 	if p.accept("[") {
-		szTok := p.next()
-		if szTok.Kind != TokInt {
-			return nil, fmt.Errorf("line %d: expected array size", szTok.Line)
-		}
-		n, _ := strconv.Atoi(szTok.Text)
-		if err := p.expect("]"); err != nil {
+		n, err := p.arraySize()
+		if err != nil {
 			return nil, err
 		}
 		ty = cArray(ty, n)

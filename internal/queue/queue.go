@@ -47,34 +47,21 @@ const DefaultCapacity = 256
 // indices into the creation-ordered tables; creation from a single
 // context (the transformed pre-headers run in the dispatching context)
 // is therefore deterministic.
+//
+// The hot operations (push, pop, wait, fire) write no Runtime state: the
+// handle tables are append-only snapshots behind atomic pointers, the
+// abort check is one atomic load, and every operation and park counter
+// lives on its queue or signal, under the lock the operation already
+// holds. A producer and a consumer therefore share only the cache lines
+// of the queue they communicate through.
 type Runtime struct {
-	// mu guards the handle tables: writes (creation) are rare, lookups
-	// are the hot path of every push/pop, hence the RWMutex.
-	mu      sync.RWMutex
-	queues  []*Queue
-	signals []*Signal
-	// aborted holds the teardown error (nil while healthy). Atomic so the
-	// hot-path check in every operation stays lock-free.
-	aborted atomic.Value // error
-
-	// Op counters (monotonic, for reports and calibration tests).
-	// Atomic so the hot queue operations never contend on rt.mu.
-	pushes  atomic.Int64
-	pops    atomic.Int64
-	waits   atomic.Int64
-	fires   atomic.Int64
-	creates atomic.Int64
-
-	// Park counters: how often (and for how long) operations actually
-	// entered a cond-wait. The clock is read only on the parking path —
-	// an operation that finds its condition already satisfied costs
-	// nothing extra — so these stay on even when span tracing is off.
-	pushParks  atomic.Int64
-	pushParkNS atomic.Int64
-	popParks   atomic.Int64
-	popParkNS  atomic.Int64
-	waitParks  atomic.Int64
-	waitParkNS atomic.Int64
+	// mu serializes the writers of the snapshots below: creation and
+	// Abort. Readers never take it.
+	mu      sync.Mutex
+	queues  atomic.Pointer[[]*Queue]
+	signals atomic.Pointer[[]*Signal]
+	// aborted holds the teardown error (nil while healthy).
+	aborted atomic.Pointer[error]
 }
 
 // ParkStats is the runtime's cumulative blocking profile: counts of
@@ -86,13 +73,26 @@ type ParkStats struct {
 	WaitParks, WaitParkNS int64
 }
 
-// ParkStats returns the cumulative blocking profile.
+// ParkStats returns the cumulative blocking profile, summed over every
+// queue and signal. The clock is read only on the parking path, so the
+// profile costs nothing for operations that never park.
 func (rt *Runtime) ParkStats() ParkStats {
-	return ParkStats{
-		PushParks: rt.pushParks.Load(), PushParkNS: rt.pushParkNS.Load(),
-		PopParks: rt.popParks.Load(), PopParkNS: rt.popParkNS.Load(),
-		WaitParks: rt.waitParks.Load(), WaitParkNS: rt.waitParkNS.Load(),
+	var ps ParkStats
+	for _, q := range snapshot(&rt.queues) {
+		q.mu.Lock()
+		ps.PushParks += q.pushParks
+		ps.PushParkNS += q.pushParkNS
+		ps.PopParks += q.popParks
+		ps.PopParkNS += q.popParkNS
+		q.mu.Unlock()
 	}
+	for _, s := range snapshot(&rt.signals) {
+		s.mu.Lock()
+		ps.WaitParks += s.waitParks
+		ps.WaitParkNS += s.waitParkNS
+		s.mu.Unlock()
+	}
+	return ps
 }
 
 // NewRuntime returns an empty runtime.
@@ -111,9 +111,14 @@ type Queue struct {
 	n        int
 	cap      int // backpressure bound for blocking pushes
 	closed   bool
-	rt       *Runtime
 	// depthMax records the high-water mark (observability only).
 	depthMax int
+
+	// Operation and park counters, guarded by mu (see Runtime.Stats and
+	// Runtime.ParkStats).
+	pushes, pops          int64
+	pushParks, pushParkNS int64
+	popParks, popParkNS   int64
 }
 
 // Signal is a monotonic ticket counter: Wait(t) parks until the counter
@@ -123,7 +128,10 @@ type Signal struct {
 	mu      sync.Mutex
 	reached *sync.Cond
 	counter int64
-	rt      *Runtime
+
+	// Operation and park counters, guarded by mu.
+	waits, fires          int64
+	waitParks, waitParkNS int64
 }
 
 // CreateQueue allocates a queue bounded at capacity (non-positive means
@@ -132,56 +140,73 @@ func (rt *Runtime) CreateQueue(capacity int) int64 {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	q := &Queue{cap: capacity, rt: rt}
+	q := &Queue{cap: capacity}
 	q.notFull = sync.NewCond(&q.mu)
 	q.notEmpty = sync.NewCond(&q.mu)
-	rt.creates.Add(1)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.queues = append(rt.queues, q)
-	return int64(len(rt.queues) - 1)
+	return publish(&rt.queues, q)
 }
 
 // CreateSignal allocates a signal whose counter starts at start and
 // returns its handle.
 func (rt *Runtime) CreateSignal(start int64) int64 {
-	s := &Signal{counter: start, rt: rt}
+	s := &Signal{counter: start}
 	s.reached = sync.NewCond(&s.mu)
-	rt.creates.Add(1)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.signals = append(rt.signals, s)
-	return int64(len(rt.signals) - 1)
+	return publish(&rt.signals, s)
+}
+
+// publish appends x to the snapshot table behind tab and returns its
+// index; the caller holds rt.mu. Appending in place is safe for readers
+// of an older snapshot: they bounds-check against their own length, so
+// they never read the slot being written, and a reallocation only reads
+// the old backing array.
+func publish[T any](tab *atomic.Pointer[[]*T], x *T) int64 {
+	var next []*T
+	if old := tab.Load(); old != nil {
+		next = *old
+	}
+	next = append(next, x)
+	tab.Store(&next)
+	return int64(len(next) - 1)
+}
+
+// snapshot returns the current contents of a handle table.
+func snapshot[T any](tab *atomic.Pointer[[]*T]) []*T {
+	if p := tab.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (rt *Runtime) queue(id int64) (*Queue, error) {
 	if err := rt.abortErr(); err != nil {
 		return nil, err
 	}
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if id < 0 || id >= int64(len(rt.queues)) {
+	qs := snapshot(&rt.queues)
+	if id < 0 || id >= int64(len(qs)) {
 		return nil, fmt.Errorf("queue: invalid queue handle %d", id)
 	}
-	return rt.queues[id], nil
+	return qs[id], nil
 }
 
 func (rt *Runtime) signal(id int64) (*Signal, error) {
 	if err := rt.abortErr(); err != nil {
 		return nil, err
 	}
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if id < 0 || id >= int64(len(rt.signals)) {
+	ss := snapshot(&rt.signals)
+	if id < 0 || id >= int64(len(ss)) {
 		return nil, fmt.Errorf("queue: invalid signal handle %d", id)
 	}
-	return rt.signals[id], nil
+	return ss[id], nil
 }
 
 // abortErr returns the teardown error, or nil while healthy.
 func (rt *Runtime) abortErr() error {
-	if err, ok := rt.aborted.Load().(error); ok {
-		return err
+	if p := rt.aborted.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
@@ -189,17 +214,21 @@ func (rt *Runtime) abortErr() error {
 // Abort tears the runtime down: every current and future operation
 // returns ErrAborted (wrapping cause when non-nil), and every parked
 // goroutine is woken. Aborting twice keeps the first cause.
+//
+// The abort error is stored and the tables are read under rt.mu, which
+// creation also holds: a queue or signal either is in the snapshot woken
+// here, or was created after the store and fails its first operation.
 func (rt *Runtime) Abort(cause error) {
 	rt.mu.Lock()
-	if rt.abortErr() == nil {
+	if rt.aborted.Load() == nil {
+		err := ErrAborted
 		if cause != nil {
-			rt.aborted.Store(fmt.Errorf("%w (cause: %v)", ErrAborted, cause))
-		} else {
-			rt.aborted.Store(error(ErrAborted))
+			err = fmt.Errorf("%w (cause: %v)", ErrAborted, cause)
 		}
+		rt.aborted.Store(&err)
 	}
-	queues := rt.queues
-	signals := rt.signals
+	queues := snapshot(&rt.queues)
+	signals := snapshot(&rt.signals)
 	rt.mu.Unlock()
 	for _, q := range queues {
 		q.mu.Lock()
@@ -234,8 +263,8 @@ func (rt *Runtime) Push(id int64, v uint64, block bool) error {
 			}
 			q.notFull.Wait()
 		}
-		rt.pushParks.Add(1)
-		rt.pushParkNS.Add(time.Since(start).Nanoseconds())
+		q.pushParks++
+		q.pushParkNS += time.Since(start).Nanoseconds()
 	}
 	if err := rt.abortErr(); err != nil {
 		return err
@@ -245,7 +274,7 @@ func (rt *Runtime) Push(id int64, v uint64, block bool) error {
 	}
 	q.push(v)
 	q.notEmpty.Signal()
-	rt.pushes.Add(1)
+	q.pushes++
 	return nil
 }
 
@@ -268,8 +297,8 @@ func (rt *Runtime) Pop(id int64, block bool) (uint64, error) {
 			}
 			q.notEmpty.Wait()
 		}
-		rt.popParks.Add(1)
-		rt.popParkNS.Add(time.Since(start).Nanoseconds())
+		q.popParks++
+		q.popParkNS += time.Since(start).Nanoseconds()
 	}
 	if err := rt.abortErr(); err != nil {
 		return 0, err
@@ -287,7 +316,7 @@ func (rt *Runtime) Pop(id int64, block bool) (uint64, error) {
 		q.head = 0
 	}
 	q.notFull.Signal()
-	rt.pops.Add(1)
+	q.pops++
 	return v, nil
 }
 
@@ -332,8 +361,8 @@ func (rt *Runtime) Wait(id, ticket int64, block bool) error {
 			}
 			s.reached.Wait()
 		}
-		rt.waitParks.Add(1)
-		rt.waitParkNS.Add(time.Since(start).Nanoseconds())
+		s.waitParks++
+		s.waitParkNS += time.Since(start).Nanoseconds()
 	}
 	if err := rt.abortErr(); err != nil {
 		return err
@@ -341,7 +370,7 @@ func (rt *Runtime) Wait(id, ticket int64, block bool) error {
 	if s.counter < ticket {
 		return fmt.Errorf("queue: signal %d wait for ticket %d (counter %d) in sequential execution", id, ticket, s.counter)
 	}
-	rt.waits.Add(1)
+	s.waits++
 	return nil
 }
 
@@ -357,15 +386,28 @@ func (rt *Runtime) Fire(id, ticket int64) error {
 		s.counter = ticket
 		s.reached.Broadcast()
 	}
+	s.fires++
 	s.mu.Unlock()
-	rt.fires.Add(1)
 	return nil
 }
 
 // Stats reports the cumulative operation counts (creates covers both
-// queues and signals).
+// queues and signals), summed over every queue and signal.
 func (rt *Runtime) Stats() (creates, pushes, pops, waits, fires int64) {
-	return rt.creates.Load(), rt.pushes.Load(), rt.pops.Load(), rt.waits.Load(), rt.fires.Load()
+	qs, ss := snapshot(&rt.queues), snapshot(&rt.signals)
+	for _, q := range qs {
+		q.mu.Lock()
+		pushes += q.pushes
+		pops += q.pops
+		q.mu.Unlock()
+	}
+	for _, s := range ss {
+		s.mu.Lock()
+		waits += s.waits
+		fires += s.fires
+		s.mu.Unlock()
+	}
+	return int64(len(qs) + len(ss)), pushes, pops, waits, fires
 }
 
 // Depth returns queue id's current and high-water element counts.

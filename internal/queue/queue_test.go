@@ -2,6 +2,7 @@ package queue
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -256,5 +257,133 @@ func TestConcurrentSPSCPipeline(t *testing.T) {
 	_, pushes, pops, _, _ := rt.Stats()
 	if pushes != (stages-1)*n || pops != (stages-1)*n {
 		t.Fatalf("op counts = (%d pushes, %d pops), want %d each", pushes, pops, (stages-1)*n)
+	}
+}
+
+// TestHandleTableConcurrentGrowth grows the handle tables while other
+// goroutines push, pop, fire and wait on earlier handles: readers of an
+// older table snapshot must never observe the append that publishes a
+// new handle (run under -race), every new handle must be usable at once,
+// and the per-queue and per-signal counters must sum to exact totals.
+func TestHandleTableConcurrentGrowth(t *testing.T) {
+	const pairs, n, extra = 2, 2000, 300
+	rt := NewRuntime()
+	var qs, ss [pairs]int64
+	for p := range qs {
+		qs[p], ss[p] = rt.CreateQueue(4), rt.CreateSignal(0)
+	}
+	var wg sync.WaitGroup
+	fail := make(chan error, 2*pairs+1)
+	run := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := f(); err != nil {
+				fail <- err
+			}
+		}()
+	}
+	for p := 0; p < pairs; p++ {
+		q, s := qs[p], ss[p]
+		run(func() error { // producer: value i, then ticket i+1
+			for i := 0; i < n; i++ {
+				if err := rt.Push(q, uint64(i), true); err != nil {
+					return err
+				}
+				if err := rt.Fire(s, int64(i+1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		run(func() error { // consumer
+			for i := 0; i < n; i++ {
+				v, err := rt.Pop(q, true)
+				if err != nil {
+					return err
+				}
+				if v != uint64(i) {
+					return fmt.Errorf("queue %d: pop %d = %d", q, i, v)
+				}
+				if err := rt.Wait(s, int64(i+1), true); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	run(func() error { // creator: one writer, so handles are dense
+		for i := 0; i < extra; i++ {
+			q, s := rt.CreateQueue(1), rt.CreateSignal(0)
+			if q != pairs+int64(i) || s != pairs+int64(i) {
+				return fmt.Errorf("creation %d: handles (%d, %d), want %d", i, q, s, pairs+i)
+			}
+			if err := rt.Push(q, 1, false); err != nil {
+				return err
+			}
+			if _, err := rt.Pop(q, false); err != nil {
+				return err
+			}
+			if err := rt.Fire(s, 1); err != nil {
+				return err
+			}
+			if err := rt.Wait(s, 1, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Fatal(err)
+	}
+	creates, pushes, pops, waits, fires := rt.Stats()
+	const ops = pairs*n + extra
+	if creates != 2*(pairs+extra) || pushes != ops || pops != ops || waits != ops || fires != ops {
+		t.Fatalf("Stats() = (%d creates, %d pushes, %d pops, %d waits, %d fires), want (%d, %d each)",
+			creates, pushes, pops, waits, fires, 2*(pairs+extra), ops)
+	}
+	ps := rt.ParkStats()
+	if ps.PushParks > pushes || ps.PopParks > pops || ps.WaitParks > waits ||
+		ps.PushParkNS < 0 || ps.PopParkNS < 0 || ps.WaitParkNS < 0 {
+		t.Fatalf("ParkStats() = %+v inconsistent with %d ops per kind", ps, ops)
+	}
+}
+
+// TestAbortConcurrentWithCreation races Abort against creation: every
+// queue and signal is either in the snapshot Abort wakes, or created
+// after the abort and fails its first operation. A blocking pop or wait
+// on any of them must therefore return ErrAborted, never park forever.
+func TestAbortConcurrentWithCreation(t *testing.T) {
+	const creators, per = 4, 25
+	rt := NewRuntime()
+	errs := make(chan error, 2*creators*per)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < creators; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < per; i++ {
+				q, s := rt.CreateQueue(1), rt.CreateSignal(0)
+				go func() { _, err := rt.Pop(q, true); errs <- err }()
+				go func() { errs <- rt.Wait(s, 1, true) }()
+			}
+		}()
+	}
+	close(start)
+	rt.Abort(errors.New("worker failed"))
+	wg.Wait()
+	for i := 0; i < 2*creators*per; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrAborted) {
+				t.Fatalf("blocked operation returned %v, want ErrAborted", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d blocked operations not released by an Abort racing creation", 2*creators*per-i, 2*creators*per)
+		}
 	}
 }
